@@ -306,6 +306,7 @@ class Client:
             "iterations": res.iterations,
             "residual_norms": res.residual_norms,
             "spmv_count": res.spmv_count,
+            "reorthogonalizations": res.reorthogonalizations,
             "seconds": dt,
         }
 

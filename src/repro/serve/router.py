@@ -687,6 +687,7 @@ class FleetRouter:
             "iterations": res.iterations,
             "residual_norms": res.residual_norms,
             "spmv_count": res.spmv_count,
+            "reorthogonalizations": res.reorthogonalizations,
             "seconds": dt,
         }
 

@@ -173,6 +173,7 @@ def _lanczos_bounds(op, *, seed: int, iters: int) -> tuple[float, float]:
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
     beta = 0.0
+    tnorm = 0.0  # running Gershgorin bound on ||T||: breakdown is relative
     alphas: list[float] = []
     betas: list[float] = []
     for _ in range(min(iters, n)):
@@ -180,8 +181,9 @@ def _lanczos_bounds(op, *, seed: int, iters: int) -> tuple[float, float]:
         a = float(v @ w)
         alphas.append(a)
         w = w - a * v - beta * v_prev
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-12:
+        beta_prev, beta = beta, float(np.linalg.norm(w))
+        tnorm = max(tnorm, abs(a) + beta_prev + beta)
+        if beta <= 1e-12 * tnorm:
             break
         betas.append(beta)
         v_prev = v

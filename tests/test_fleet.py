@@ -194,6 +194,20 @@ class TestShardedParity:
         assert res["iterations"] == res_ref["iterations"]
         assert np.array_equal(res["x"], res_ref["x"])
 
+    def test_eigsh_identical_to_single_server(self):
+        # the routed operator answers bitwise, so Lanczos walks the same
+        # iteration and reports the same reorthogonalization count
+        csr = small_csr()
+        with reference_client(csr) as ref:
+            res_ref = ref.eigsh("ref", num_eigenvalues=2)
+        with Fleet(2, mode="inproc", workers=1) as fleet:
+            router = FleetRouter(fleet)
+            router.register("A", csr)
+            res = router.eigsh("A", num_eigenvalues=2)
+        assert np.array_equal(res["eigenvalues"], res_ref["eigenvalues"])
+        assert res["iterations"] == res_ref["iterations"]
+        assert res["reorthogonalizations"] == res_ref["reorthogonalizations"]
+
     def test_rejects_bad_shapes(self):
         csr = small_csr()
         with Fleet(2, mode="inproc", workers=1) as fleet:

@@ -133,3 +133,13 @@ class TestSpmm:
             p.spmm(np.ones((spd.ncols + 1, 2)))
         with pytest.raises(ValueError, match="out"):
             p.spmm(np.ones((spd.ncols, 2)), out=np.empty((1, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_estimated_bounds_scale_free(scale):
+    A = poisson2d(14, 9)
+    scaled = COOMatrix(A.rows, A.cols, A.values * scale, A.shape)
+    kw = dict(num_moments=16, num_vectors=2, seed=4)
+    ref = kpm_spectral_density(convert(A, "pJDS"), **kw).spectrum_bounds
+    got = kpm_spectral_density(convert(scaled, "pJDS"), **kw).spectrum_bounds
+    assert np.allclose(np.asarray(got) / scale, ref, rtol=1e-12)

@@ -574,6 +574,7 @@ class TestClient:
         dense = poisson2d(7).todense()
         expect = np.sort(np.linalg.eigvalsh(dense))[:2]
         np.testing.assert_allclose(res["eigenvalues"], expect, atol=1e-6)
+        assert 0 <= res["reorthogonalizations"] < res["iterations"]
 
     def test_health_and_stats(self, client):
         h = client.health()
@@ -669,6 +670,7 @@ class TestHTTP:
         assert status == 200
         smallest = np.sort(np.linalg.eigvalsh(poisson2d(6).todense()))[0]
         np.testing.assert_allclose(body["eigenvalues"][0], smallest, atol=1e-6)
+        assert isinstance(body["reorthogonalizations"], int)
 
     def test_healthz(self, endpoint):
         status, raw = self._get(endpoint, "/healthz")

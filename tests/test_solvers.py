@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.formats import COOMatrix, convert
-from repro.matrices import poisson2d
+from repro.matrices import generate, poisson2d
 from repro.solvers import (
     as_operator,
     conjugate_gradient,
@@ -153,6 +153,111 @@ class TestLanczos:
             lanczos(m, num_eigenvalues=10, max_iter=5)
         with pytest.raises(ValueError):
             lanczos(m, tol=-1.0)
+
+
+def _scaled(coo, scale):
+    return COOMatrix(coo.rows, coo.cols, coo.values * scale, coo.shape)
+
+
+def _laplacian_1d(n):
+    """Tridiagonal (-1, 2, -1) with its first diagonal entry pulled to -1.
+
+    The end site binds one isolated eigenvalue (-4/3) below a tightly
+    clustered band edge.  The isolated value converges within a few
+    dozen steps; without reorthogonalisation it returns as ghost copies
+    while the cluster keeps the iteration going.
+    """
+    i = np.arange(n)
+    diag = np.full(n, 2.0)
+    diag[0] = -1.0
+    return COOMatrix(
+        np.concatenate([i, i[:-1], i[1:]]),
+        np.concatenate([i, i[1:], i[:-1]]),
+        np.concatenate([diag, -np.ones(n - 1), -np.ones(n - 1)]),
+        (n, n),
+    )
+
+
+def _symmetrised_hmep():
+    """The HMEp Hamiltonian of the integration test, H = (A + A^T)/2."""
+    coo = generate("HMEp", scale=2048, seed=1)
+    t = coo.transpose()
+    return COOMatrix(
+        np.concatenate([coo.rows, t.rows]),
+        np.concatenate([coo.cols, t.cols]),
+        np.concatenate([coo.values * 0.5, t.values * 0.5]),
+        coo.shape,
+    )
+
+
+class TestPartialReorthogonalization:
+    def test_spd_matches_dense_with_few_sweeps(self, spd, spd_dense):
+        res = lanczos(convert(spd, "pJDS"), num_eigenvalues=3, tol=1e-10)
+        ref = np.linalg.eigvalsh(spd_dense)[:3]
+        assert np.allclose(res.eigenvalues, ref, atol=1e-7)
+        assert res.reorthogonalizations < res.iterations
+
+    def test_hmep_matches_dense_with_few_sweeps(self):
+        H = _symmetrised_hmep()
+        res = lanczos(convert(H, "pJDS"), num_eigenvalues=1, tol=1e-8, max_iter=300)
+        ref = np.linalg.eigvalsh(H.todense())[:1]
+        assert np.allclose(res.eigenvalues, ref, atol=1e-5)
+        assert res.reorthogonalizations < res.iterations
+
+    def test_no_ghosts_in_clustered_low_end(self):
+        L = _laplacian_1d(500)
+        res = lanczos(
+            convert(L, "CRS"), num_eigenvalues=4, tol=1e-10, max_iter=500
+        )
+        ref = np.linalg.eigvalsh(L.todense())[:4]
+        assert np.all(np.diff(res.eigenvalues) > 1e-8)  # four distinct values
+        assert np.allclose(res.eigenvalues, ref, rtol=0, atol=1e-8)
+        U = res.eigenvectors
+        assert np.abs(U.T @ U - np.eye(4)).max() < 1e-8
+
+    def test_same_seed_bitwise_equal(self, spd):
+        m = convert(spd, "pJDS")
+        a = lanczos(m, num_eigenvalues=3, tol=1e-10, seed=11)
+        b = lanczos(m, num_eigenvalues=3, tol=1e-10, seed=11)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert a.reorthogonalizations == b.reorthogonalizations
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_scale_free(self, scale):
+        A = poisson2d(14, 9)
+        ref = lanczos(convert(A, "pJDS"), num_eigenvalues=2)
+        res = lanczos(convert(_scaled(A, scale), "pJDS"), num_eigenvalues=2)
+        assert res.eigenvalues.size == 2
+        assert np.allclose(res.eigenvalues / scale, ref.eigenvalues, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "v0, match",
+        [
+            (np.zeros(126), "non-zero"),
+            (np.full(126, np.nan), "finite"),
+            (np.r_[np.ones(125), np.inf], "finite"),
+            (np.ones(125), "shape"),
+            (np.ones((126, 1)), "shape"),
+        ],
+    )
+    def test_hostile_start_vector(self, v0, match):
+        m = convert(poisson2d(14, 9), "pJDS")
+        with pytest.raises(ValueError, match=f"v0 .*{match}"):
+            lanczos(m, v0=v0)
+
+    def test_reorth_counter_published(self, spd):
+        from repro import obs
+
+        obs.reset_all()
+        obs.enable()
+        try:
+            res = lanczos(convert(spd, "pJDS"), num_eigenvalues=3, tol=1e-10)
+            fam = obs.get_registry().get("solver_reorth_total")
+        finally:
+            obs.disable()
+            obs.reset_all()
+        assert res.reorthogonalizations > 0
+        assert fam.labels(solver="lanczos").value == res.reorthogonalizations
 
 
 class TestPower:
